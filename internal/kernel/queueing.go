@@ -20,8 +20,10 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"nocs/internal/faultinject"
@@ -59,6 +61,76 @@ func (q *ring[T]) pop() T {
 		q.head = 0
 	}
 	return v
+}
+
+// arriver is a queueing server's arrival-event body, shared by one-request
+// arrival events (Submit) and arrival streams (SubmitAll).
+type arriver interface {
+	arrive(r workload.Request)
+}
+
+// arrival is the event body of one submitted request. It is generic over
+// the server so the server is a plain pointer: Submit allocates one arrival
+// per request, and an interface field would make each a size class larger.
+type arrival[S arriver] struct {
+	to S
+	r  workload.Request
+}
+
+func (a *arrival[S]) OnEvent() { a.to.arrive(a.r) }
+
+// streamItem is one request of an arrival stream with the sequence number
+// reserved for its arrival event.
+type streamItem struct {
+	seq uint64
+	r   workload.Request
+}
+
+// arrivalStream delivers a batch of requests while keeping only the next
+// arrival in the event heap. submitAll reserves one sequence number per
+// request, in submission order, so every arrival pops under the same
+// (time, seq) key it would have had if all of them had been scheduled up
+// front. Each delivery first schedules its successor, so the successor is
+// queued whenever it would have been observable: before its predecessor
+// pops, that predecessor is queued and orders ahead of it, so neither the
+// heap head nor the pop order can tell the difference.
+type arrivalStream struct {
+	eng   *sim.Shard
+	to    arriver
+	name  string
+	items []streamItem // sorted by (arrival, seq); items[next] is queued
+	next  int
+}
+
+func (st *arrivalStream) OnEvent() {
+	cur := st.items[st.next]
+	st.next++
+	if st.next < len(st.items) {
+		it := st.items[st.next]
+		st.eng.AtReservedCallback(it.r.Arrival, it.seq, st.name, st)
+	}
+	st.to.arrive(cur.r)
+}
+
+// submitAll streams reqs into to as one arrival stream. Request i keeps
+// sequence number first+i; an unsorted trace is stably sorted by arrival,
+// which is exactly the order the heap would have popped it in.
+func submitAll(eng *sim.Shard, to arriver, name string, reqs []workload.Request) {
+	if len(reqs) == 0 {
+		return
+	}
+	first := eng.ReserveSeqs(len(reqs))
+	items := make([]streamItem, len(reqs))
+	sorted := true
+	for i, r := range reqs {
+		items[i] = streamItem{seq: first + uint64(i), r: r}
+		sorted = sorted && (i == 0 || r.Arrival >= reqs[i-1].Arrival)
+	}
+	if !sorted {
+		slices.SortStableFunc(items, func(a, b streamItem) int { return cmp.Compare(a.r.Arrival, b.r.Arrival) })
+	}
+	st := &arrivalStream{eng: eng, to: to, name: name, items: items}
+	eng.AtReservedCallback(items[0].r.Arrival, items[0].seq, name, st)
 }
 
 // laneSet places request spans onto "req-lane-N" tracks. Requests overlap
@@ -137,18 +209,6 @@ type FCFSServer struct {
 	donePool []*fcfsDone
 }
 
-// fcfsArrival is an allocation-free arrival event body (sim.Callback).
-// SubmitAll builds one arena of these per request batch.
-type fcfsArrival struct {
-	s *FCFSServer
-	r workload.Request
-}
-
-func (a *fcfsArrival) OnEvent() {
-	a.s.queue.push(a.r)
-	a.s.dispatch()
-}
-
 // fcfsDone is a pooled completion/fault event body: one per busy server.
 type fcfsDone struct {
 	s     *FCFSServer
@@ -187,19 +247,22 @@ func (s *FCFSServer) EnableTrace(tr *trace.Tracer, process string) {
 	}
 }
 
+const fcfsArrivalName = "fcfs-arrival"
+
 // Submit schedules the arrival.
 func (s *FCFSServer) Submit(r workload.Request) {
-	s.eng.AtCallback(r.Arrival, "fcfs-arrival", &fcfsArrival{s: s, r: r})
+	s.eng.AtCallback(r.Arrival, fcfsArrivalName, &arrival[*FCFSServer]{to: s, r: r})
 }
 
-// SubmitAll schedules every arrival in order with a single allocation (one
-// arena of arrival callbacks), replacing a closure per request.
+// SubmitAll streams the arrivals (see arrivalStream): the same event order
+// as one Submit per request, with one arrival queued at a time.
 func (s *FCFSServer) SubmitAll(reqs []workload.Request) {
-	arr := make([]fcfsArrival, len(reqs))
-	for i, r := range reqs {
-		arr[i] = fcfsArrival{s: s, r: r}
-		s.eng.AtCallback(r.Arrival, "fcfs-arrival", &arr[i])
-	}
+	submitAll(s.eng, s, fcfsArrivalName, reqs)
+}
+
+func (s *FCFSServer) arrive(r workload.Request) {
+	s.queue.push(r)
+	s.dispatch()
 }
 
 // Completed returns the number of finished requests.
@@ -300,7 +363,10 @@ type PSServer struct {
 	// penalty. At most one fault per request: completion is guaranteed.
 	Faults *faultinject.Injector
 
-	active     map[int]*psReq
+	// active holds the in-service requests in admission order; nothing
+	// depends on that order (every scan is order-independent or breaks
+	// ties on ID), and OnEvent compacts it in place.
+	active     []*psReq
 	pending    ring[workload.Request]
 	lastUpdate sim.Cycles
 	nextEv     sim.Handle
@@ -317,15 +383,6 @@ type PSServer struct {
 	activeTk trace.TrackID
 }
 
-// psArrival is an allocation-free arrival event body; SubmitAll builds one
-// arena of these per request batch.
-type psArrival struct {
-	s *PSServer
-	r workload.Request
-}
-
-func (a *psArrival) OnEvent() { a.s.arrive(a.r) }
-
 type psReq struct {
 	r         workload.Request
 	remaining float64
@@ -339,8 +396,7 @@ func NewPS(eng *sim.Shard, c int, overhead sim.Cycles, onComplete func(Completio
 	if c < 1 {
 		c = 1
 	}
-	return &PSServer{eng: eng, C: c, Overhead: overhead, OnComplete: onComplete,
-		active: make(map[int]*psReq)}
+	return &PSServer{eng: eng, C: c, Overhead: overhead, OnComplete: onComplete}
 }
 
 // Name identifies the discipline.
@@ -371,19 +427,17 @@ func (s *PSServer) Faulted() uint64 { return s.faulted }
 // Active returns the number of in-service requests.
 func (s *PSServer) Active() int { return len(s.active) }
 
+const psArrivalName = "ps-arrival"
+
 // Submit schedules the arrival.
 func (s *PSServer) Submit(r workload.Request) {
-	s.eng.AtCallback(r.Arrival, "ps-arrival", &psArrival{s: s, r: r})
+	s.eng.AtCallback(r.Arrival, psArrivalName, &arrival[*PSServer]{to: s, r: r})
 }
 
-// SubmitAll schedules every arrival in order with a single allocation (one
-// arena of arrival callbacks), replacing a closure per request.
+// SubmitAll streams the arrivals (see arrivalStream): the same event order
+// as one Submit per request, with one arrival queued at a time.
 func (s *PSServer) SubmitAll(reqs []workload.Request) {
-	arr := make([]psArrival, len(reqs))
-	for i, r := range reqs {
-		arr[i] = psArrival{s: s, r: r}
-		s.eng.AtCallback(r.Arrival, "ps-arrival", &arr[i])
-	}
+	submitAll(s.eng, s, psArrivalName, reqs)
 }
 
 // arrive is the arrival-event body.
@@ -424,7 +478,7 @@ func (s *PSServer) admit(r workload.Request) {
 			a.faultPen = pen
 		}
 	}
-	s.active[r.ID] = a
+	s.active = append(s.active, a)
 }
 
 // rate returns the current per-request service rate.
@@ -484,26 +538,28 @@ func (s *PSServer) OnEvent() {
 	s.nextEv = sim.NoEvent
 	s.nextTarget = nil
 	s.advance()
-	// Complete everything at or below zero (simultaneous finishers). Collect
-	// first and sort by ID: map order must not leak into completion order or
-	// the trace would be nondeterministic.
+	// Complete everything at or below zero (simultaneous finishers),
+	// compacting the survivors in place. Collect first and sort by ID:
+	// completion order is by ID, not by position in the active set.
 	finished := s.finBuf[:0]
-	for id, a := range s.active {
+	kept := s.active[:0]
+	for _, a := range s.active {
 		if a.remaining <= 1e-9 || a == target {
-			if a.faultPen > 0 {
-				// Mid-request fault: exception descriptor written, thread
-				// restarted on the same hardware thread with full demand
-				// plus the penalty. The request stays active — degraded,
-				// never lost.
-				a.remaining = float64(s.Overhead + a.r.Demand + a.faultPen)
-				a.faultPen = 0
-				s.faulted++
+			if a.faultPen == 0 {
+				finished = append(finished, a)
 				continue
 			}
-			delete(s.active, id)
-			finished = append(finished, a)
+			// Mid-request fault: exception descriptor written, thread
+			// restarted on the same hardware thread with full demand plus
+			// the penalty. The request stays active — degraded, never lost.
+			a.remaining = float64(s.Overhead + a.r.Demand + a.faultPen)
+			a.faultPen = 0
+			s.faulted++
 		}
+		kept = append(kept, a)
 	}
+	clear(s.active[len(kept):])
+	s.active = kept
 	s.finBuf = finished
 	// Insertion sort by ID (IDs unique, so the order matches what sort.Slice
 	// produced) on the reused buffer: no comparator closure, no allocation.
@@ -564,18 +620,10 @@ type tsReq struct {
 	remaining sim.Cycles
 }
 
-// tsArrival is an allocation-free arrival event body; SubmitAll builds one
-// arena of these per request batch.
-type tsArrival struct {
-	s *TimesliceServer
-	r workload.Request
-}
-
-func (a *tsArrival) OnEvent() {
-	s := a.s
+func (s *TimesliceServer) arrive(r workload.Request) {
 	req := s.getReq()
-	req.r = a.r
-	req.remaining = a.r.Demand
+	req.r = r
+	req.remaining = r.Demand
 	s.queue.push(req)
 	s.dispatch()
 }
@@ -634,19 +682,17 @@ func (s *TimesliceServer) Completed() uint64 { return s.done }
 // Switches returns the number of context switches performed.
 func (s *TimesliceServer) Switches() uint64 { return s.sswaps }
 
+const tsArrivalName = "ts-arrival"
+
 // Submit schedules the arrival.
 func (s *TimesliceServer) Submit(r workload.Request) {
-	s.eng.AtCallback(r.Arrival, "ts-arrival", &tsArrival{s: s, r: r})
+	s.eng.AtCallback(r.Arrival, tsArrivalName, &arrival[*TimesliceServer]{to: s, r: r})
 }
 
-// SubmitAll schedules every arrival in order with a single allocation (one
-// arena of arrival callbacks), replacing a closure per request.
+// SubmitAll streams the arrivals (see arrivalStream): the same event order
+// as one Submit per request, with one arrival queued at a time.
 func (s *TimesliceServer) SubmitAll(reqs []workload.Request) {
-	arr := make([]tsArrival, len(reqs))
-	for i, r := range reqs {
-		arr[i] = tsArrival{s: s, r: r}
-		s.eng.AtCallback(r.Arrival, "ts-arrival", &arr[i])
-	}
+	submitAll(s.eng, s, tsArrivalName, reqs)
 }
 
 func (s *TimesliceServer) dispatch() {
@@ -695,47 +741,39 @@ func (e *tsSlice) OnEvent() {
 	s.dispatch()
 }
 
+// openLoopServer is what RunOpenLoop needs from a server: batch submission
+// and its OnComplete field, so the collector can be chained in front of the
+// caller's callback and the callback put back afterwards.
+type openLoopServer interface {
+	SubmitAll(reqs []workload.Request)
+	completionHook() *func(Completion)
+}
+
+func (s *FCFSServer) completionHook() *func(Completion)      { return &s.OnComplete }
+func (s *PSServer) completionHook() *func(Completion)        { return &s.OnComplete }
+func (s *TimesliceServer) completionHook() *func(Completion) { return &s.OnComplete }
+
 // RunOpenLoop submits requests to a server and runs the engine to
 // completion, returning the completions in finish order. All requests must
-// have arrival times at or after the engine's current time.
+// have arrival times at or after the engine's current time. The server's
+// own OnComplete still sees every completion and is restored when the run
+// returns, so the same server can run again.
 func RunOpenLoop(eng *sim.Shard, srv QueueServer, reqs []workload.Request) []Completion {
-	out := make([]Completion, 0, len(reqs))
-	collect := func(c Completion) { out = append(out, c) }
-	switch s := srv.(type) {
-	case *FCFSServer:
-		prev := s.OnComplete
-		s.OnComplete = func(c Completion) {
-			if prev != nil {
-				prev(c)
-			}
-			collect(c)
-		}
-	case *PSServer:
-		prev := s.OnComplete
-		s.OnComplete = func(c Completion) {
-			if prev != nil {
-				prev(c)
-			}
-			collect(c)
-		}
-	case *TimesliceServer:
-		prev := s.OnComplete
-		s.OnComplete = func(c Completion) {
-			if prev != nil {
-				prev(c)
-			}
-			collect(c)
-		}
-	default:
+	ol, ok := srv.(openLoopServer)
+	if !ok {
 		panic(fmt.Sprintf("kernel: unknown server type %T", srv))
 	}
-	if bs, ok := srv.(interface{ SubmitAll([]workload.Request) }); ok {
-		bs.SubmitAll(reqs)
-	} else {
-		for _, r := range reqs {
-			srv.Submit(r)
+	hook := ol.completionHook()
+	prev := *hook
+	defer func() { *hook = prev }()
+	out := make([]Completion, 0, len(reqs))
+	*hook = func(c Completion) {
+		if prev != nil {
+			prev(c)
 		}
+		out = append(out, c)
 	}
+	ol.SubmitAll(reqs)
 	eng.Run(0)
 	return out
 }

@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"nocs/internal/faultinject"
@@ -14,11 +16,16 @@ import (
 // Checkpoint support (DESIGN.md §13) for the queueing servers. Each server
 // serializes its ring FIFO, counters, and every live event it owns: pending
 // arrivals, in-flight completions or quantum slices, and the PS next-finisher.
-// Arrival bodies are arena-allocated without retained handles, so the codec
-// reclaims them through the engine's VisitLiveEvents enumeration — the owner
-// recognizes its own payload types among the live events — instead of paying
-// per-event handle bookkeeping on the hot path. Freelists and event pools are
-// capacity, not state: they restore empty and re-grow.
+// Event bodies are held without retained handles, so the codec reclaims them
+// through the engine's VisitLiveEvents enumeration — the owner recognizes its
+// own payload types among the live events — instead of paying per-event
+// handle bookkeeping on the hot path. An arrival stream (SubmitAll) has only
+// its next arrival queued, but every undelivered request holds a reserved
+// sequence number, so the codec writes the stream's rest as the same
+// (at, seq, request) records one queued event per arrival would produce, and
+// restores the whole list as one stream: the checkpoint bytes do not depend
+// on how the arrivals were submitted. Freelists and event pools are capacity,
+// not state: they restore empty and re-grow.
 //
 // Trace lanes (EnableTrace) are wiring and re-base like every other tracer;
 // OnComplete callbacks are re-attached by the restore target's driver.
@@ -155,6 +162,93 @@ type eventRec struct {
 	seq uint64
 }
 
+// arrivalFor reports whether cb is an arrival event body delivering to to.
+func arrivalFor[S arriver](cb sim.Callback, to S) bool {
+	switch v := cb.(type) {
+	case *arrival[S]:
+		return arriver(v.to) == arriver(to)
+	case *arrivalStream:
+		return v.to == arriver(to)
+	}
+	return false
+}
+
+// compareArrivals orders arrivals by (arrival time, seq): the keys and
+// order of one queued event per arrival.
+func compareArrivals(a, b streamItem) int {
+	if c := cmp.Compare(a.r.Arrival, b.r.Arrival); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// liveArrivals returns every arrival not yet delivered to to — queued
+// one-request arrivals and the undelivered rest of each arrival stream — in
+// compareArrivals order.
+func liveArrivals[S arriver](eng *sim.Shard, to S) []streamItem {
+	var items []streamItem
+	eng.VisitLiveEvents(func(_ sim.Cycles, seq uint64, _ string, cb sim.Callback) {
+		if !arrivalFor(cb, to) {
+			return
+		}
+		if st, ok := cb.(*arrivalStream); ok {
+			items = append(items, st.items[st.next:]...)
+		} else {
+			items = append(items, streamItem{seq: seq, r: cb.(*arrival[S]).r})
+		}
+	})
+	slices.SortFunc(items, compareArrivals)
+	return items
+}
+
+// writeArrivals writes arrivals as (at, seq, request) event records.
+func writeArrivals(w *snapshot.W, items []streamItem) {
+	w.Len(len(items))
+	for _, it := range items {
+		w.I64(int64(it.r.Arrival)).U64(it.seq)
+		it.r.SnapshotState(w)
+	}
+}
+
+// readArrivals reads records written by writeArrivals. The error reports a
+// record whose event time is not its request's arrival, or records not
+// strictly increasing in compareArrivals order (check it after the reader's
+// own error).
+func readArrivals(r *snapshot.R) ([]streamItem, error) {
+	items := make([]streamItem, r.Len(40))
+	var err error
+	for i := range items {
+		at, seq := sim.Cycles(r.I64()), r.U64()
+		it := streamItem{seq: seq, r: workload.RestoreRequest(r)}
+		items[i] = it
+		switch {
+		case err != nil:
+		case at != it.r.Arrival:
+			err = fmt.Errorf("kernel: arrival event at cycle %d for request %d arriving at %d",
+				at, it.r.ID, it.r.Arrival)
+		case i > 0 && compareArrivals(items[i-1], it) >= 0:
+			err = fmt.Errorf("kernel: arrival record (%d, seq %d) does not follow (%d, seq %d)",
+				at, seq, items[i-1].r.Arrival, items[i-1].seq)
+		}
+	}
+	return items, err
+}
+
+// restoreArrivals re-creates the arrivals read by readArrivals as one
+// arrival stream, queueing its first event under its original key. The
+// others' numbers are restored as reserved, so FinishRestore rejects a
+// checkpoint whose sequence counter would hand any of them out again.
+func restoreArrivals(eng *sim.Shard, to arriver, name string, items []streamItem) {
+	if len(items) == 0 {
+		return
+	}
+	st := &arrivalStream{eng: eng, to: to, name: name, items: items}
+	eng.RestoreEvent(items[0].r.Arrival, items[0].seq, name, st)
+	for _, it := range items[1:] {
+		eng.RestoreReserved(it.seq)
+	}
+}
+
 // ---- FCFS ----
 
 // SnapshotState writes the FCFS server's dynamic state.
@@ -170,28 +264,15 @@ func (s *FCFSServer) SnapshotState(w *snapshot.W) error {
 	sort.Slice(once, func(i, j int) bool { return once[i] < once[j] })
 	w.I64s(once)
 
-	var arrivals []*fcfsArrival
-	var arrEvs, doneEvs []eventRec
+	var doneEvs []eventRec
 	var dones []*fcfsDone
 	s.eng.VisitLiveEvents(func(at sim.Cycles, seq uint64, _ string, cb sim.Callback) {
-		switch v := cb.(type) {
-		case *fcfsArrival:
-			if v.s == s {
-				arrivals = append(arrivals, v)
-				arrEvs = append(arrEvs, eventRec{at, seq})
-			}
-		case *fcfsDone:
-			if v.s == s {
-				dones = append(dones, v)
-				doneEvs = append(doneEvs, eventRec{at, seq})
-			}
+		if v, ok := cb.(*fcfsDone); ok && v.s == s {
+			dones = append(dones, v)
+			doneEvs = append(doneEvs, eventRec{at, seq})
 		}
 	})
-	w.Len(len(arrivals))
-	for i, a := range arrivals {
-		w.I64(int64(arrEvs[i].at)).U64(arrEvs[i].seq)
-		a.r.SnapshotState(w)
-	}
+	writeArrivals(w, liveArrivals(s.eng, s))
 	w.Len(len(dones))
 	for i, d := range dones {
 		w.I64(int64(doneEvs[i].at)).U64(doneEvs[i].seq)
@@ -208,15 +289,7 @@ func (s *FCFSServer) RestoreState(r *snapshot.R) error {
 	queued := restoreRequests(r)
 	busy, done, faulted := r.U64(), r.U64(), r.U64()
 	once := r.I64s()
-	na := r.Len(40)
-	type arrRec struct {
-		ev eventRec
-		r  workload.Request
-	}
-	arrs := make([]arrRec, na)
-	for i := range arrs {
-		arrs[i] = arrRec{eventRec{sim.Cycles(r.I64()), r.U64()}, workload.RestoreRequest(r)}
-	}
+	arrs, arrErr := readArrivals(r)
 	nd := r.Len(57)
 	type doneRec struct {
 		ev    eventRec
@@ -235,6 +308,9 @@ func (s *FCFSServer) RestoreState(r *snapshot.R) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
+	if arrErr != nil {
+		return arrErr
+	}
 
 	s.queue = ring[workload.Request]{buf: queued}
 	s.busy, s.done, s.faulted = int(busy), done, faulted
@@ -246,11 +322,7 @@ func (s *FCFSServer) RestoreState(r *snapshot.R) error {
 		}
 	}
 	s.donePool = nil
-	arena := make([]fcfsArrival, na)
-	for i, a := range arrs {
-		arena[i] = fcfsArrival{s: s, r: a.r}
-		s.eng.RestoreEvent(a.ev.at, a.ev.seq, "fcfs-arrival", &arena[i])
-	}
+	restoreArrivals(s.eng, s, fcfsArrivalName, arrs)
 	for _, d := range dones {
 		name := "fcfs-done"
 		if d.fault {
@@ -265,15 +337,8 @@ func (s *FCFSServer) RestoreState(r *snapshot.R) error {
 // ClaimEvents marks the server's live events in the engine's claimed set.
 func (s *FCFSServer) ClaimEvents(claimed map[uint64]bool) {
 	s.eng.VisitLiveEvents(func(_ sim.Cycles, seq uint64, _ string, cb sim.Callback) {
-		switch v := cb.(type) {
-		case *fcfsArrival:
-			if v.s == s {
-				claimed[seq] = true
-			}
-		case *fcfsDone:
-			if v.s == s {
-				claimed[seq] = true
-			}
+		if v, ok := cb.(*fcfsDone); (ok && v.s == s) || arrivalFor(cb, s) {
+			claimed[seq] = true
 		}
 	})
 }
@@ -285,14 +350,10 @@ func (s *FCFSServer) ClaimEvents(claimed map[uint64]bool) {
 // time would reassociate the floating-point arithmetic and perturb the
 // continued run by an ulp.
 func (s *PSServer) SnapshotState(w *snapshot.W) error {
-	ids := make([]int, 0, len(s.active))
-	for id := range s.active {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	w.Len(len(ids))
-	for _, id := range ids {
-		a := s.active[id]
+	byID := slices.Clone(s.active)
+	slices.SortFunc(byID, func(a, b *psReq) int { return cmp.Compare(a.r.ID, b.r.ID) })
+	w.Len(len(byID))
+	for _, a := range byID {
 		a.r.SnapshotState(w)
 		w.F64(a.remaining).I64(int64(a.faultPen))
 	}
@@ -307,20 +368,7 @@ func (s *PSServer) SnapshotState(w *snapshot.W) error {
 		}
 		w.I64(int64(at)).U64(seq).I64(int64(s.nextTarget.r.ID))
 	}
-
-	var arrivals []*psArrival
-	var arrEvs []eventRec
-	s.eng.VisitLiveEvents(func(at sim.Cycles, seq uint64, _ string, cb sim.Callback) {
-		if v, ok := cb.(*psArrival); ok && v.s == s {
-			arrivals = append(arrivals, v)
-			arrEvs = append(arrEvs, eventRec{at, seq})
-		}
-	})
-	w.Len(len(arrivals))
-	for i, a := range arrivals {
-		w.I64(int64(arrEvs[i].at)).U64(arrEvs[i].seq)
-		a.r.SnapshotState(w)
-	}
+	writeArrivals(w, liveArrivals(s.eng, s))
 	return nil
 }
 
@@ -346,50 +394,41 @@ func (s *PSServer) RestoreState(r *snapshot.R) error {
 		next = eventRec{sim.Cycles(r.I64()), r.U64()}
 		nextID = r.I64()
 	}
-	na := r.Len(40)
-	type arrRec struct {
-		ev eventRec
-		r  workload.Request
-	}
-	arrs := make([]arrRec, na)
-	for i := range arrs {
-		arrs[i] = arrRec{eventRec{sim.Cycles(r.I64()), r.U64()}, workload.RestoreRequest(r)}
-	}
+	arrs, arrErr := readArrivals(r)
 	if err := r.Err(); err != nil {
 		return err
 	}
+	if arrErr != nil {
+		return arrErr
+	}
 
-	s.active = make(map[int]*psReq, nact)
-	for _, a := range acts {
-		s.active[a.r.ID] = &psReq{r: a.r, remaining: a.remaining, faultPen: a.faultPen}
+	s.active = make([]*psReq, nact)
+	var target *psReq
+	for i, a := range acts {
+		s.active[i] = &psReq{r: a.r, remaining: a.remaining, faultPen: a.faultPen}
+		if hasNext && int64(a.r.ID) == nextID {
+			target = s.active[i]
+		}
 	}
 	s.pending = ring[workload.Request]{buf: pending}
 	s.lastUpdate, s.done, s.faulted = lastUpdate, done, faulted
 	s.free, s.finBuf = nil, nil
 	s.nextEv, s.nextTarget = sim.NoEvent, nil
 	if hasNext {
-		target, ok := s.active[int(nextID)]
-		if !ok {
+		if target == nil {
 			return fmt.Errorf("kernel: ps next-finisher targets unknown request %d", nextID)
 		}
 		s.nextTarget = target
 		s.nextEv = s.eng.RestoreEvent(next.at, next.seq, "ps-done", s)
 	}
-	arena := make([]psArrival, na)
-	for i, a := range arrs {
-		arena[i] = psArrival{s: s, r: a.r}
-		s.eng.RestoreEvent(a.ev.at, a.ev.seq, "ps-arrival", &arena[i])
-	}
+	restoreArrivals(s.eng, s, psArrivalName, arrs)
 	return nil
 }
 
 // ClaimEvents marks the server's live events in the engine's claimed set.
 func (s *PSServer) ClaimEvents(claimed map[uint64]bool) {
 	s.eng.VisitLiveEvents(func(_ sim.Cycles, seq uint64, _ string, cb sim.Callback) {
-		if v, ok := cb.(*psArrival); ok && v.s == s {
-			claimed[seq] = true
-		}
-		if v, ok := cb.(*PSServer); ok && v == s {
+		if v, ok := cb.(*PSServer); (ok && v == s) || arrivalFor(cb, s) {
 			claimed[seq] = true
 		}
 	})
@@ -407,30 +446,17 @@ func (s *TimesliceServer) SnapshotState(w *snapshot.W) error {
 	}
 	w.U64(uint64(s.busy)).U64(s.done).U64(s.sswaps)
 
-	var arrivals []*tsArrival
-	var arrEvs, sliceEvs []eventRec
-	var slices []*tsSlice
+	var sliceEvs []eventRec
+	var live []*tsSlice
 	s.eng.VisitLiveEvents(func(at sim.Cycles, seq uint64, _ string, cb sim.Callback) {
-		switch v := cb.(type) {
-		case *tsArrival:
-			if v.s == s {
-				arrivals = append(arrivals, v)
-				arrEvs = append(arrEvs, eventRec{at, seq})
-			}
-		case *tsSlice:
-			if v.s == s {
-				slices = append(slices, v)
-				sliceEvs = append(sliceEvs, eventRec{at, seq})
-			}
+		if v, ok := cb.(*tsSlice); ok && v.s == s {
+			live = append(live, v)
+			sliceEvs = append(sliceEvs, eventRec{at, seq})
 		}
 	})
-	w.Len(len(arrivals))
-	for i, a := range arrivals {
-		w.I64(int64(arrEvs[i].at)).U64(arrEvs[i].seq)
-		a.r.SnapshotState(w)
-	}
-	w.Len(len(slices))
-	for i, e := range slices {
+	writeArrivals(w, liveArrivals(s.eng, s))
+	w.Len(len(live))
+	for i, e := range live {
 		w.I64(int64(sliceEvs[i].at)).U64(sliceEvs[i].seq)
 		e.req.r.SnapshotState(w)
 		w.I64(int64(e.req.remaining)).I64(int64(e.slice))
@@ -451,15 +477,7 @@ func (s *TimesliceServer) RestoreState(r *snapshot.R) error {
 		queued[i] = reqRec{workload.RestoreRequest(r), sim.Cycles(r.I64())}
 	}
 	busy, done, sswaps := r.U64(), r.U64(), r.U64()
-	na := r.Len(40)
-	type arrRec struct {
-		ev eventRec
-		r  workload.Request
-	}
-	arrs := make([]arrRec, na)
-	for i := range arrs {
-		arrs[i] = arrRec{eventRec{sim.Cycles(r.I64()), r.U64()}, workload.RestoreRequest(r)}
-	}
+	arrs, arrErr := readArrivals(r)
 	ns := r.Len(56)
 	type sliceRec struct {
 		ev        eventRec
@@ -467,13 +485,16 @@ func (s *TimesliceServer) RestoreState(r *snapshot.R) error {
 		remaining sim.Cycles
 		slice     sim.Cycles
 	}
-	slices := make([]sliceRec, ns)
-	for i := range slices {
-		slices[i] = sliceRec{ev: eventRec{sim.Cycles(r.I64()), r.U64()}, r: workload.RestoreRequest(r)}
-		slices[i].remaining, slices[i].slice = sim.Cycles(r.I64()), sim.Cycles(r.I64())
+	recs := make([]sliceRec, ns)
+	for i := range recs {
+		recs[i] = sliceRec{ev: eventRec{sim.Cycles(r.I64()), r.U64()}, r: workload.RestoreRequest(r)}
+		recs[i].remaining, recs[i].slice = sim.Cycles(r.I64()), sim.Cycles(r.I64())
 	}
 	if err := r.Err(); err != nil {
 		return err
+	}
+	if arrErr != nil {
+		return arrErr
 	}
 
 	buf := make([]*tsReq, nq)
@@ -483,12 +504,8 @@ func (s *TimesliceServer) RestoreState(r *snapshot.R) error {
 	s.queue = ring[*tsReq]{buf: buf}
 	s.busy, s.done, s.sswaps = int(busy), done, sswaps
 	s.free, s.slicePool = nil, nil
-	arena := make([]tsArrival, na)
-	for i, a := range arrs {
-		arena[i] = tsArrival{s: s, r: a.r}
-		s.eng.RestoreEvent(a.ev.at, a.ev.seq, "ts-arrival", &arena[i])
-	}
-	for _, e := range slices {
+	restoreArrivals(s.eng, s, tsArrivalName, arrs)
+	for _, e := range recs {
 		s.eng.RestoreEvent(e.ev.at, e.ev.seq, "ts-slice",
 			&tsSlice{s: s, req: &tsReq{r: e.r, remaining: e.remaining}, slice: e.slice})
 	}
@@ -498,15 +515,8 @@ func (s *TimesliceServer) RestoreState(r *snapshot.R) error {
 // ClaimEvents marks the server's live events in the engine's claimed set.
 func (s *TimesliceServer) ClaimEvents(claimed map[uint64]bool) {
 	s.eng.VisitLiveEvents(func(_ sim.Cycles, seq uint64, _ string, cb sim.Callback) {
-		switch v := cb.(type) {
-		case *tsArrival:
-			if v.s == s {
-				claimed[seq] = true
-			}
-		case *tsSlice:
-			if v.s == s {
-				claimed[seq] = true
-			}
+		if v, ok := cb.(*tsSlice); (ok && v.s == s) || arrivalFor(cb, s) {
+			claimed[seq] = true
 		}
 	})
 }

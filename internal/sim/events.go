@@ -264,20 +264,58 @@ func (e *Engine) siftDown(en heapEntry) {
 	h[i] = en
 }
 
-// schedule is the common body of At/AtCallback.
-func (e *Engine) schedule(t Cycles, name string, fn func(), cb Callback) Handle {
-	if t < e.clock.Now() {
-		panic(fmt.Sprintf("sim: event %q scheduled at %d, before now=%d", name, t, e.clock.Now()))
-	}
+// insert queues an event body under an explicit (t, seq) key.
+func (e *Engine) insert(t Cycles, seq uint64, name string, fn func(), cb Callback) Handle {
 	s := e.alloc()
 	sl := &e.slots[s]
 	sl.fn = fn
 	sl.cb = cb
 	sl.name = name
 	sl.queued = true
-	e.push(heapEntry{at: t, seq: e.seq, slot: s})
-	e.seq++
+	e.push(heapEntry{at: t, seq: seq, slot: s})
 	return handleOf(s, sl.gen)
+}
+
+// schedule is the common body of At/AtCallback.
+func (e *Engine) schedule(t Cycles, name string, fn func(), cb Callback) Handle {
+	if t < e.clock.Now() {
+		panic(fmt.Sprintf("sim: event %q scheduled at %d, before now=%d", name, t, e.clock.Now()))
+	}
+	h := e.insert(t, e.seq, name, fn, cb)
+	e.seq++
+	return h
+}
+
+// ReserveSeqs hands out n consecutive sequence numbers without scheduling
+// anything and returns the first. Each one is later spent by exactly one
+// AtReservedCallback. An event scheduled under a reserved number ties with
+// other events at its timestamp exactly as if it had been scheduled at the
+// moment of the reservation, so a component can keep a long, time-ordered
+// batch of events out of the heap and queue them one at a time, each before
+// its predecessor's body runs, without changing the (time, seq) order, the
+// heap head, or anything the clock, BatchHorizon and checkpoints observe.
+func (e *Engine) ReserveSeqs(n int) uint64 {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: reserving %d sequence numbers", n))
+	}
+	first := e.seq
+	e.seq += uint64(n)
+	return first
+}
+
+// AtReservedCallback schedules cb.OnEvent at absolute time t under seq, a
+// number previously returned by ReserveSeqs (or restored with a checkpoint's
+// sequence counter). It panics on a time in the past and on a number the
+// engine has not handed out yet; spending one number twice is the caller's
+// bug and is not detected.
+func (e *Engine) AtReservedCallback(t Cycles, seq uint64, name string, cb Callback) Handle {
+	if t < e.clock.Now() {
+		panic(fmt.Sprintf("sim: event %q scheduled at %d, before now=%d", name, t, e.clock.Now()))
+	}
+	if seq >= e.seq {
+		panic(fmt.Sprintf("sim: event %q uses sequence number %d, never reserved (next is %d)", name, seq, e.seq))
+	}
+	return e.insert(t, seq, name, nil, cb)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics.

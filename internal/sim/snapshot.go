@@ -51,10 +51,10 @@ func (e *Engine) EventInfo(h Handle) (at Cycles, seq uint64, ok bool) {
 // VisitLiveEvents calls visit for every live (non-cancelled) queued event in
 // deterministic (timestamp, sequence) order. cb is the event's callback body,
 // or nil for closure events. This is the reclamation path for components that
-// schedule arena-allocated event bodies without retaining handles (the
-// queueing servers' arrival arenas): at checkpoint time the owner recognizes
-// its own payload types among the live events instead of tracking a handle
-// per event on the hot path.
+// schedule event bodies without retaining handles (the queueing servers'
+// arrivals and arrival streams): at checkpoint time the owner recognizes its
+// own payload types among the live events instead of tracking a handle per
+// event on the hot path.
 func (e *Engine) VisitLiveEvents(visit func(at Cycles, seq uint64, name string, cb Callback)) {
 	ents := append([]heapEntry(nil), e.heap...)
 	sort.Slice(ents, func(i, j int) bool { return entryLess(ents[i], ents[j]) })
@@ -115,16 +115,19 @@ func (e *Engine) RestoreEvent(at Cycles, seq uint64, name string, cb Callback) H
 	if at < e.clock.Now() {
 		panic(fmt.Sprintf("sim: restored event %q at %d, before now=%d", name, at, e.clock.Now()))
 	}
-	s := e.alloc()
-	sl := &e.slots[s]
-	sl.cb = cb
-	sl.name = name
-	sl.queued = true
-	e.push(heapEntry{at: at, seq: seq, slot: s})
+	h := e.insert(at, seq, name, nil, cb)
+	e.RestoreReserved(seq)
+	return h
+}
+
+// RestoreReserved records that seq was handed out before the checkpoint and
+// belongs to an event its owner will queue later with AtReservedCallback (an
+// arrival stream's undelivered requests). Like a restored event's number, it
+// makes FinishRestore reject a sequence counter at or below it.
+func (e *Engine) RestoreReserved(seq uint64) {
 	if seq >= e.seq {
 		e.seq = seq + 1
 	}
-	return handleOf(s, sl.gen)
 }
 
 // RestoreTombstone re-queues a cancelled event. When popped it advances the
@@ -135,21 +138,15 @@ func (e *Engine) RestoreTombstone(at Cycles, seq uint64, name string) {
 	if at < e.clock.Now() {
 		panic(fmt.Sprintf("sim: restored tombstone %q at %d, before now=%d", name, at, e.clock.Now()))
 	}
-	s := e.alloc()
-	sl := &e.slots[s]
-	sl.name = name
-	sl.queued = true
-	sl.cancelled = true
-	e.push(heapEntry{at: at, seq: seq, slot: s})
-	if seq >= e.seq {
-		e.seq = seq + 1
-	}
+	h := e.insert(at, seq, name, nil, nil)
+	e.slots[e.slotOf(h)].cancelled = true
+	e.RestoreReserved(seq)
 }
 
 // FinishRestore sets the sequence and ran counters to the checkpoint's
-// values, after every RestoreEvent/RestoreTombstone call. seq must be at
-// least one past every restored sequence number, or future events could
-// collide with restored ones and break the total order.
+// values, after every RestoreEvent/RestoreTombstone/RestoreReserved call.
+// seq must be at least one past every restored sequence number, or future
+// events could collide with restored ones and break the total order.
 func (e *Engine) FinishRestore(seq, ran uint64) error {
 	if seq < e.seq {
 		return fmt.Errorf("sim: restored seq counter %d collides with a queued event (need >= %d)", seq, e.seq)

@@ -5,7 +5,10 @@
 #   1. gofmt           — no unformatted files
 #   2. go vet          — static checks
 #   3. go build        — every package, including examples and cmds
-#   4. go test -race   — the full suite under the race detector
+#   4. go test -race   — the full suite under the race detector, then the
+#                        benchmark module's own tests (perfbench/ is a
+#                        separate Go module, so ./... does not reach it:
+#                        comparator, stats, calibration and output checks)
 #   5. fuzz smoke      — 10s of coverage-guided fuzzing per fuzz target,
 #                        on top of the checked-in corpora
 #   6. diff sweep      — 200 fresh seeds through the engine-vs-reference
@@ -68,6 +71,9 @@ go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== perfbench module tests =="
+go test -C perfbench ./...
 
 echo "== fuzz smoke (10s per target) =="
 go test -run '^$' -fuzz '^FuzzAsmParse$' -fuzztime 10s ./internal/asm
