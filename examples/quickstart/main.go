@@ -96,8 +96,8 @@ pause:
 		c.Regs.GPR[4], c.Regs.GPR[3])
 	fmt.Printf("consumer wakeups: %d, instructions retired machine-wide: %d\n",
 		c.Wakeups, m.Retired())
-	wk, imm, _ := m.Monitor().Stats()
-	fmt.Printf("monitor engine: %d wakeups delivered (%d without blocking)\n", wk, imm)
+	mc := m.Monitor().Counters()
+	fmt.Printf("monitor engine: %d wakeups delivered (%d without blocking)\n", mc.Wakeups, mc.Immediate)
 }
 
 func indent(s string) string {

@@ -296,8 +296,7 @@ func runA2(cfg RunConfig) (*Result, error) {
 		}
 		times = deliverTrain(m, nic, n)
 		m.RunUntil(sim.Cycles(n+4) * f1Spacing)
-		_, _, dropped := m.Monitor().Stats()
-		return outcome{served: served, dropped: dropped, p50: h.Quantile(0.5)}, nil
+		return outcome{served: served, dropped: m.Monitor().Counters().Dropped, p50: h.Quantile(0.5)}, nil
 	}
 
 	visible, err := run(true, false)

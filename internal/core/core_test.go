@@ -174,8 +174,7 @@ main:
 	if wakeAddr != mailbox || wakeAt == 0 {
 		t.Fatalf("wake at %v addr %#x", wakeAt, wakeAddr)
 	}
-	wk, _, _ := r.mon.Stats()
-	if wk != 1 {
+	if wk := r.mon.Counters().Wakeups; wk != 1 {
 		t.Fatalf("monitor wakeups = %d", wk)
 	}
 }

@@ -68,9 +68,9 @@ func deviceFingerprint(m *Machine, nic *device.NIC, ssd *device.SSD) string {
 	fmt.Fprintf(&b, "nic delivered=%d dropped=%d tail=%d\n", d, dr, m.Mem().Read(0x30000))
 	cid, status, ready := ssd.ReadCQE(0)
 	fmt.Fprintf(&b, "ssd cqe=%d/%d/%v\n", cid, status, ready)
-	w, i, drp := m.Monitor().Stats()
+	mc := m.Monitor().Counters()
 	wt, wd := m.Mem().Writes()
-	fmt.Fprintf(&b, "monitor=%d/%d/%d mem=%d writes=%d/%d\n", w, i, drp, m.Mem().Read(0x20000), wt, wd)
+	fmt.Fprintf(&b, "monitor=%d/%d/%d mem=%d writes=%d/%d\n", mc.Wakeups, mc.Immediate, mc.Dropped, m.Mem().Read(0x20000), wt, wd)
 	return b.String()
 }
 
@@ -214,9 +214,9 @@ func ringSummary(m *Machine) string {
 			m.MemOf(s).Read(mb), m.MemOf(s).Read(mb+8), pacer.Wakeups)
 	}
 	for s := 0; s < m.Shards(); s++ {
-		w, im, dr := m.MonitorOf(sim.ShardID(s)).Stats()
+		mc := m.MonitorOf(sim.ShardID(s)).Counters()
 		wt, wd := m.MemOf(sim.ShardID(s)).Writes()
-		fmt.Fprintf(&b, "shard%d monitor=%d/%d/%d writes=%d/%d\n", s, w, im, dr, wt, wd)
+		fmt.Fprintf(&b, "shard%d monitor=%d/%d/%d writes=%d/%d\n", s, mc.Wakeups, mc.Immediate, mc.Dropped, wt, wd)
 	}
 	return b.String()
 }

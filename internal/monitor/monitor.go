@@ -17,6 +17,7 @@
 package monitor
 
 import (
+	"slices"
 	"strconv"
 
 	"nocs/internal/faultinject"
@@ -32,9 +33,13 @@ type Waiter interface {
 	MonitorWake(addr, val int64, src mem.WriteSource)
 }
 
+// watcherState is one waiter's watch record. It lives for the engine's
+// lifetime: a wake, cancel or eviction resets it in place (live=false) rather
+// than deleting it, so steady-state arm/wait/wake cycles allocate nothing.
 type watcherState struct {
-	addrs   map[int64]bool
-	order   []int64 // arm order, for MaxWatches eviction
+	w       Waiter
+	live    bool    // holds a record (checkpointed); false = none
+	order   []int64 // armed addresses in arm order; also the membership set
 	waiting bool    // blocked in mwait
 	pending bool    // a watched write arrived after arm, before (or instead of) wait
 	pAddr   int64
@@ -45,31 +50,30 @@ type watcherState struct {
 // addrWatchers is the per-address waiter list, kept in global arm order so
 // that a write waking several waiters delivers the wakeups deterministically
 // (map iteration order would make racy multi-waiter programs diverge between
-// otherwise identical runs).
+// otherwise identical runs). An entry outlives its last watcher so re-arming
+// the address reuses it.
 type addrWatchers struct {
-	set  map[Waiter]bool
-	list []Waiter // arm order; entries removed on disarm
+	list []*watcherState // arm order; entries removed on disarm
 }
 
-func (aw *addrWatchers) add(w Waiter) {
-	if aw.set[w] {
-		return
-	}
-	aw.set[w] = true
-	aw.list = append(aw.list, w)
-}
-
-func (aw *addrWatchers) remove(w Waiter) {
-	if !aw.set[w] {
-		return
-	}
-	delete(aw.set, w)
+func (aw *addrWatchers) remove(s *watcherState) {
 	for i, x := range aw.list {
-		if x == w {
+		if x == s {
 			aw.list = append(aw.list[:i], aw.list[i+1:]...)
-			break
+			return
 		}
 	}
+}
+
+// Counters is the engine's named event counts, in a stable order (the
+// checkpoint writes them in this order).
+type Counters struct {
+	Wakeups   uint64 // delivered wakeups, immediate and spurious included
+	Immediate uint64 // mwait completed without blocking (pending write)
+	Dropped   uint64 // writes invisible due to DMAVisible=false
+	Evicted   uint64 // watches displaced by the MaxWatches budget
+	Spurious  uint64 // injected spurious wakes actually delivered
+	Coalesced uint64 // wake batches delivered late by injected coalescing
 }
 
 // Engine is the machine-wide monitor filter. It observes every write to
@@ -90,6 +94,10 @@ type Engine struct {
 
 	watchers map[Waiter]*watcherState
 	byAddr   map[int64]*addrWatchers
+	// last is the record state returned most recently. A waiter arms its
+	// addresses and then waits in a run of calls, so most lookups hit it and
+	// skip hashing the interface key.
+	last *watcherState
 
 	// Tracing (nil tr = off). Each delivered wakeup starts a flow on the
 	// monitor track and stashes its ID in the tracer; the core's synchronous
@@ -109,12 +117,13 @@ type Engine struct {
 	after   func(d sim.Cycles, name string, cb sim.Callback) sim.Handle
 	pending []*pendingInj
 
-	wakeups   uint64
-	immediate uint64 // mwait completed without blocking (pending write)
-	dropped   uint64 // writes invisible due to DMAVisible=false
-	evicted   uint64 // watches displaced by the MaxWatches budget
-	spurious  uint64 // injected spurious wakes actually delivered
-	coalesced uint64 // wake batches delivered late by injected coalescing
+	// batch is the wake-batch scratch slice. ObserveWrite takes it (leaving
+	// nil) while it collects and delivers, and hands it back afterwards, so a
+	// write issued from inside a MonitorWake handler builds its own batch
+	// instead of overwriting the one still being delivered.
+	batch []*watcherState
+
+	n Counters
 }
 
 // NewEngine returns a monitor engine with full (paper-semantics) visibility.
@@ -161,8 +170,8 @@ type pendingInj struct {
 	e        *Engine
 	h        sim.Handle
 	spurious bool
-	w        Waiter   // spurious target
-	batch    []Waiter // coalesced batch
+	w        Waiter          // spurious target
+	batch    []*watcherState // coalesced batch
 	addr     int64
 	val      int64
 	src      mem.WriteSource
@@ -176,7 +185,7 @@ func (p *pendingInj) OnEvent() {
 		p.e.InjectWake(p.w)
 		return
 	}
-	p.e.coalesced++
+	p.e.n.Coalesced++
 	p.e.deliverBatch(p.batch, p.addr, p.val, p.src)
 }
 
@@ -203,12 +212,18 @@ func (e *Engine) traceFire(addr int64, src mem.WriteSource, immediate bool) {
 	e.tr.StashFlow(f)
 }
 
+// state returns w's persistent watch record, creating it (not live) on first
+// use.
 func (e *Engine) state(w Waiter) *watcherState {
+	if s := e.last; s != nil && s.w == w {
+		return s
+	}
 	s := e.watchers[w]
 	if s == nil {
-		s = &watcherState{addrs: make(map[int64]bool)}
+		s = &watcherState{w: w}
 		e.watchers[w] = s
 	}
+	e.last = s
 	return s
 }
 
@@ -217,29 +232,25 @@ func (e *Engine) state(w Waiter) *watcherState {
 // arming beyond the budget evicts the waiter's oldest watch.
 func (e *Engine) Arm(w Waiter, addr int64) {
 	s := e.state(w)
-	if s.addrs[addr] {
+	s.live = true
+	// Watch sets are small (16 addresses at most in the shipped programs,
+	// and capped by MaxWatches), so a scan beats a per-waiter map.
+	if slices.Contains(s.order, addr) {
 		return
 	}
-	if e.MaxWatches > 0 && len(s.addrs) >= e.MaxWatches {
+	if e.MaxWatches > 0 && len(s.order) >= e.MaxWatches {
 		victim := s.order[0]
-		s.order = s.order[1:]
-		delete(s.addrs, victim)
-		if aw := e.byAddr[victim]; aw != nil {
-			aw.remove(w)
-			if len(aw.list) == 0 {
-				delete(e.byAddr, victim)
-			}
-		}
-		e.evicted++
+		s.order = append(s.order[:0], s.order[1:]...)
+		e.byAddr[victim].remove(s)
+		e.n.Evicted++
 	}
-	s.addrs[addr] = true
 	s.order = append(s.order, addr)
 	aw := e.byAddr[addr]
 	if aw == nil {
-		aw = &addrWatchers{set: make(map[Waiter]bool)}
+		aw = &addrWatchers{}
 		e.byAddr[addr] = aw
 	}
-	aw.add(w)
+	aw.list = append(aw.list, s)
 	if e.tr != nil {
 		e.tr.InstantArg(e.trTrack, "arm", "0x"+strconv.FormatInt(addr, 16), e.trNow())
 	}
@@ -248,7 +259,7 @@ func (e *Engine) Arm(w Waiter, addr int64) {
 // Armed reports how many addresses w currently watches.
 func (e *Engine) Armed(w Waiter) int {
 	if s := e.watchers[w]; s != nil {
-		return len(s.addrs)
+		return len(s.order)
 	}
 	return 0
 }
@@ -259,17 +270,19 @@ func (e *Engine) Armed(w Waiter) int {
 // Otherwise it returns true and the waiter stays blocked until a write.
 //
 // Waiting with no armed addresses returns false immediately (like x86, an
-// mwait without a monitor does not block) and delivers nothing.
+// mwait without a monitor does not block) and delivers nothing. It still
+// leaves w holding an empty record, which checkpoints carry.
 func (e *Engine) Wait(w Waiter) (blocked bool) {
 	s := e.state(w)
-	if len(s.addrs) == 0 {
+	s.live = true
+	if len(s.order) == 0 {
 		return false
 	}
 	if s.pending {
 		addr, val, src := s.pAddr, s.pVal, s.pSrc
-		e.disarm(w, s)
-		e.immediate++
-		e.wakeups++
+		e.disarm(s)
+		e.n.Immediate++
+		e.n.Wakeups++
 		if e.tr != nil {
 			e.traceFire(addr, src, true)
 		}
@@ -301,9 +314,9 @@ func (e *Engine) InjectWake(w Waiter) bool {
 		return false
 	}
 	addr := s.order[0]
-	e.disarm(w, s)
-	e.wakeups++
-	e.spurious++
+	e.disarm(s)
+	e.n.Wakeups++
+	e.n.Spurious++
 	if e.tr != nil {
 		e.traceFire(addr, mem.SrcCPU, false)
 	}
@@ -317,104 +330,93 @@ func (e *Engine) InjectWake(w Waiter) bool {
 // allows stop on waiting threads).
 func (e *Engine) CancelWait(w Waiter) {
 	if s := e.watchers[w]; s != nil {
-		e.disarm(w, s)
+		e.disarm(s)
 	}
 }
 
-// disarm clears all watches and flags for w. A wake consumes the whole
-// watch set: like x86, the monitor must be re-armed after every wakeup.
-func (e *Engine) disarm(w Waiter, s *watcherState) {
-	for a := range s.addrs {
-		if aw := e.byAddr[a]; aw != nil {
-			aw.remove(w)
-			if len(aw.list) == 0 {
-				delete(e.byAddr, a)
-			}
-		}
+// disarm clears all watches and flags of s and drops its record, keeping the
+// order slice's capacity for the next arm. A wake consumes the whole watch
+// set: like x86, the monitor must be re-armed after every wakeup.
+func (e *Engine) disarm(s *watcherState) {
+	for _, a := range s.order {
+		e.byAddr[a].remove(s)
 	}
-	delete(e.watchers, w)
+	*s = watcherState{w: s.w, order: s.order[:0]}
 }
 
 // ObserveWrite implements mem.WriteObserver: the engine is attached to
 // physical memory and sees every write in the machine.
 func (e *Engine) ObserveWrite(addr, val int64, src mem.WriteSource) {
-	if !e.DMAVisible && src != mem.SrcCPU {
-		if aw := e.byAddr[addr]; aw != nil && len(aw.list) > 0 {
-			e.dropped++
-			if e.tr != nil {
-				e.tr.InstantArg(e.trTrack, "dropped",
-					"0x"+strconv.FormatInt(addr, 16)+" "+src.String(), e.trNow())
-			}
-		}
-		return
-	}
 	aw := e.byAddr[addr]
 	if aw == nil || len(aw.list) == 0 {
 		return
 	}
-	// Collect first (in arm order, so wake delivery is deterministic): Wake
-	// handlers may re-arm, mutating the watch structures.
-	var toWake []Waiter
-	for _, w := range aw.list {
-		s := e.watchers[w]
-		if s == nil {
-			continue
+	if !e.DMAVisible && src != mem.SrcCPU {
+		e.n.Dropped++
+		if e.tr != nil {
+			e.tr.InstantArg(e.trTrack, "dropped",
+				"0x"+strconv.FormatInt(addr, 16)+" "+src.String(), e.trNow())
 		}
+		return
+	}
+	// Collect first (in arm order, so wake delivery is deterministic): Wake
+	// handlers may re-arm, mutating the watch structures. The batch is ours
+	// until delivery ends; a nested write starts from a nil scratch.
+	batch := e.batch[:0]
+	e.batch = nil
+	for _, s := range aw.list {
 		if s.waiting {
-			toWake = append(toWake, w)
+			batch = append(batch, s)
 		} else {
 			s.pending = true
 			s.pAddr, s.pVal, s.pSrc = addr, val, src
 		}
 	}
-	if len(toWake) > 0 && e.inj != nil && e.after != nil {
+	if len(batch) > 0 && e.inj != nil && e.after != nil {
 		if d, ok := e.inj.CoalesceWake(); ok {
 			// Deferred delivery: the monitor batches this notification and
 			// releases it late. Waiters woken by another write in the
 			// meantime are skipped inside deliverBatch — the wake is
 			// coalesced with that one, never lost.
 			p := &pendingInj{
-				e: e, batch: append([]Waiter(nil), toWake...),
+				e: e, batch: append([]*watcherState(nil), batch...),
 				addr: addr, val: val, src: src,
 			}
 			p.h = e.after(d, EvCoalescedWake, p)
 			e.pending = append(e.pending, p)
+			e.batch = batch
 			return
 		}
 	}
-	e.deliverBatch(toWake, addr, val, src)
+	e.deliverBatch(batch, addr, val, src)
+	e.batch = batch
 }
 
 // deliverBatch wakes every still-waiting waiter in the batch.
-func (e *Engine) deliverBatch(batch []Waiter, addr, val int64, src mem.WriteSource) {
-	for _, w := range batch {
-		s := e.watchers[w]
-		if s == nil || !s.waiting {
+func (e *Engine) deliverBatch(batch []*watcherState, addr, val int64, src mem.WriteSource) {
+	for _, s := range batch {
+		if !s.waiting {
 			continue // a previous wake in this batch may have disturbed it
 		}
-		e.disarm(w, s)
-		e.wakeups++
+		e.disarm(s)
+		e.n.Wakeups++
 		if e.tr != nil {
 			e.traceFire(addr, src, false)
 		}
-		w.MonitorWake(addr, val, src)
+		s.w.MonitorWake(addr, val, src)
 		e.tr.StashFlow(0) // drop the flow if the waiter didn't consume it
 	}
 }
 
+// Counters returns the engine's event counts.
+func (e *Engine) Counters() Counters { return e.n }
+
 // Stats returns (delivered wakeups, immediate-completion waits, writes
-// dropped because DMA visibility was disabled).
+// dropped because DMA visibility was disabled). Kept for the benchmark
+// program (perfbench/serve.go), which is pinned to this signature; new code
+// uses Counters.
 func (e *Engine) Stats() (wakeups, immediate, dropped uint64) {
-	return e.wakeups, e.immediate, e.dropped
-}
-
-// Evicted returns the number of watches displaced by the MaxWatches budget.
-func (e *Engine) Evicted() uint64 { return e.evicted }
-
-// InjectedWakes returns (spurious wakes delivered, wake batches delivered
-// late by injected coalescing). Both are zero without a fault plan.
-func (e *Engine) InjectedWakes() (spurious, coalesced uint64) {
-	return e.spurious, e.coalesced
+	return e.n.Wakeups, e.n.Immediate, e.n.Dropped
 }
 
 // Waiting reports whether w is currently blocked in mwait.

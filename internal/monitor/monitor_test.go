@@ -47,9 +47,8 @@ func TestBasicArmWaitWake(t *testing.T) {
 	if e.Waiting(w) || e.Armed(w) != 0 {
 		t.Fatal("watch not consumed by wake")
 	}
-	wk, imm, drop := e.Stats()
-	if wk != 1 || imm != 0 || drop != 0 {
-		t.Fatalf("stats %d/%d/%d", wk, imm, drop)
+	if n := e.Counters(); n != (Counters{Wakeups: 1}) {
+		t.Fatalf("counters %+v", n)
 	}
 }
 
@@ -68,8 +67,7 @@ func TestNoLostWakeup(t *testing.T) {
 	if len(w.wakes) != 1 || w.wakes[0].val != 9 || w.wakes[0].src != mem.SrcDMA {
 		t.Fatalf("buffered wake: %+v", w.wakes)
 	}
-	_, imm, _ := e.Stats()
-	if imm != 1 {
+	if imm := e.Counters().Immediate; imm != 1 {
 		t.Fatalf("immediate = %d", imm)
 	}
 }
@@ -168,8 +166,7 @@ func TestDMAInvisibleAblation(t *testing.T) {
 	if len(w.wakes) != 0 {
 		t.Fatal("DMA write woke waiter despite DMAVisible=false")
 	}
-	_, _, dropped := e.Stats()
-	if dropped != 2 {
+	if dropped := e.Counters().Dropped; dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", dropped)
 	}
 	e.ObserveWrite(0x100, 3, mem.SrcCPU) // CPU writes still work
@@ -288,8 +285,8 @@ func TestMaxWatchesEvictsOldest(t *testing.T) {
 	if e.Armed(w) != 2 {
 		t.Fatalf("armed = %d", e.Armed(w))
 	}
-	if e.Evicted() != 1 {
-		t.Fatalf("evicted = %d", e.Evicted())
+	if ev := e.Counters().Evicted; ev != 1 {
+		t.Fatalf("evicted = %d", ev)
 	}
 	e.Wait(w)
 	e.ObserveWrite(0x100, 1, mem.SrcCPU) // evicted: no wake
@@ -309,8 +306,8 @@ func TestMaxWatchesRearmDoesNotEvict(t *testing.T) {
 	e.Arm(w, 0x100)
 	e.Arm(w, 0x200)
 	e.Arm(w, 0x100) // duplicate: no eviction
-	if e.Armed(w) != 2 || e.Evicted() != 0 {
-		t.Fatalf("armed=%d evicted=%d", e.Armed(w), e.Evicted())
+	if ev := e.Counters().Evicted; e.Armed(w) != 2 || ev != 0 {
+		t.Fatalf("armed=%d evicted=%d", e.Armed(w), ev)
 	}
 }
 
@@ -394,7 +391,7 @@ func TestSpuriousWakeThenRealWriteNotLost(t *testing.T) {
 	if len(w.wakes) != 1 {
 		t.Fatalf("spurious wake not delivered: %+v", w.wakes)
 	}
-	if sp, _ := e.InjectedWakes(); sp != 1 {
+	if sp := e.Counters().Spurious; sp != 1 {
 		t.Fatalf("spurious counter %d", sp)
 	}
 	if !e.Waiting(w) {
@@ -434,8 +431,7 @@ func TestSpuriousWakeRealWriteInReArmWindow(t *testing.T) {
 	if len(w.wakes) != 2 || w.wakes[1].val != 42 {
 		t.Fatalf("write in the re-arm window was lost: %+v", w.wakes)
 	}
-	_, imm, _ := e.Stats()
-	if imm != 1 {
+	if imm := e.Counters().Immediate; imm != 1 {
 		t.Fatalf("immediate completions %d, want 1", imm)
 	}
 }
@@ -481,7 +477,7 @@ func TestSpuriousWakeSkipsWokenWaiter(t *testing.T) {
 	if len(w.wakes) != 1 {
 		t.Fatalf("spurious wake hit a non-waiting waiter: %+v", w.wakes)
 	}
-	if sp, _ := e.InjectedWakes(); sp != 0 {
+	if sp := e.Counters().Spurious; sp != 0 {
 		t.Fatalf("spurious counter %d, want 0 (skipped)", sp)
 	}
 }
@@ -504,7 +500,7 @@ func TestCoalescedWakeDeliveredLate(t *testing.T) {
 	if len(w.wakes) != 1 || w.wakes[0].val != 77 {
 		t.Fatalf("coalesced wake lost: %+v", w.wakes)
 	}
-	if _, co := e.InjectedWakes(); co != 1 {
+	if co := e.Counters().Coalesced; co != 1 {
 		t.Fatalf("coalesced counter %d", co)
 	}
 }

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"nocs/internal/mem"
@@ -41,10 +42,14 @@ type PendingInjection struct {
 func (e *Engine) PendingInjections() []PendingInjection {
 	out := make([]PendingInjection, 0, len(e.pending))
 	for _, p := range e.pending {
-		out = append(out, PendingInjection{
+		pi := PendingInjection{
 			Handle: p.h, Spurious: p.spurious, Waiter: p.w,
-			Batch: p.batch, Addr: p.addr, Val: p.val, Src: p.src,
-		})
+			Addr: p.addr, Val: p.val, Src: p.src,
+		}
+		for _, s := range p.batch {
+			pi.Batch = append(pi.Batch, s.w)
+		}
+		out = append(out, pi)
 	}
 	return out
 }
@@ -60,14 +65,19 @@ func (e *Engine) RestoreSpuriousInjection(w Waiter, schedule func(cb sim.Callbac
 
 // RestoreCoalescedInjection re-creates a pending coalesced wake batch.
 func (e *Engine) RestoreCoalescedInjection(batch []Waiter, addr, val int64, src mem.WriteSource, schedule func(cb sim.Callback) sim.Handle) {
-	p := &pendingInj{e: e, batch: batch, addr: addr, val: val, src: src}
+	p := &pendingInj{e: e, addr: addr, val: val, src: src}
+	for _, w := range batch {
+		p.batch = append(p.batch, e.state(w))
+	}
 	p.h = schedule(p)
 	e.pending = append(e.pending, p)
 }
 
 // SnapshotState writes the watch sets, per-address arm orders, and counters.
 // id translates a live waiter to its stable checkpoint id; a waiter it does
-// not know makes the state non-checkpointable.
+// not know makes the state non-checkpointable. Records that hold nothing
+// (never used, or reset by a wake) and address lists left empty are not
+// written: the bytes depend only on the live watch state.
 func (e *Engine) SnapshotState(w *snapshot.W, id func(Waiter) (int64, bool)) error {
 	type watcherRec struct {
 		id int64
@@ -75,6 +85,9 @@ func (e *Engine) SnapshotState(w *snapshot.W, id func(Waiter) (int64, bool)) err
 	}
 	recs := make([]watcherRec, 0, len(e.watchers))
 	for wt, s := range e.watchers {
+		if !s.live {
+			continue
+		}
 		wid, ok := id(wt)
 		if !ok {
 			return fmt.Errorf("monitor: waiter %T is not checkpointable", wt)
@@ -91,8 +104,10 @@ func (e *Engine) SnapshotState(w *snapshot.W, id func(Waiter) (int64, bool)) err
 	}
 
 	addrs := make([]int64, 0, len(e.byAddr))
-	for a := range e.byAddr {
-		addrs = append(addrs, a)
+	for a, aw := range e.byAddr {
+		if len(aw.list) > 0 {
+			addrs = append(addrs, a)
+		}
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	w.Len(len(addrs))
@@ -100,30 +115,36 @@ func (e *Engine) SnapshotState(w *snapshot.W, id func(Waiter) (int64, bool)) err
 		w.I64(a)
 		aw := e.byAddr[a]
 		w.Len(len(aw.list))
-		for _, wt := range aw.list {
-			wid, ok := id(wt)
+		for _, s := range aw.list {
+			wid, ok := id(s.w)
 			if !ok {
-				return fmt.Errorf("monitor: waiter %T is not checkpointable", wt)
+				return fmt.Errorf("monitor: waiter %T is not checkpointable", s.w)
 			}
 			w.I64(wid)
 		}
 	}
 
-	w.U64(e.wakeups).U64(e.immediate).U64(e.dropped)
-	w.U64(e.evicted).U64(e.spurious).U64(e.coalesced)
+	w.U64(e.n.Wakeups).U64(e.n.Immediate).U64(e.n.Dropped)
+	w.U64(e.n.Evicted).U64(e.n.Spurious).U64(e.n.Coalesced)
 	return nil
 }
 
 // RestoreState replaces the watch sets and counters with the checkpoint's.
 // waiter translates a checkpoint id back to the live waiter object. Pending
 // injections are restored separately by the machine's event restore.
+//
+// The per-address lists must be exactly the watch sets read the other way:
+// every (address, waiter) pair in a list is an address that waiter holds,
+// every held address is listed once, no list is empty, and no watch set
+// repeats an address. A checkpoint that breaks this is rejected; the engine
+// relies on it when it disarms.
 func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error)) error {
 	nw := r.Len(8)
 	watchers := make(map[Waiter]*watcherState, nw)
+	held := 0 // (waiter, address) pairs in the watch sets
 	for i := 0; i < nw; i++ {
 		wid := r.I64()
-		order := r.I64s()
-		s := &watcherState{addrs: make(map[int64]bool, len(order)), order: order}
+		s := &watcherState{live: true, order: r.I64s()}
 		s.waiting, s.pending = r.Bool(), r.Bool()
 		s.pAddr, s.pVal, s.pSrc = r.I64(), r.I64(), mem.WriteSource(r.U8())
 		if r.Err() != nil {
@@ -133,21 +154,35 @@ func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error))
 		if err != nil {
 			return err
 		}
-		for _, a := range order {
-			s.addrs[a] = true
+		for j, a := range s.order {
+			if slices.Contains(s.order[:j], a) {
+				return fmt.Errorf("monitor: waiter id %d watches address 0x%x twice", wid, a)
+			}
 		}
 		if _, dup := watchers[wt]; dup {
 			return fmt.Errorf("monitor: duplicate waiter id %d in snapshot", wid)
 		}
+		s.w = wt
 		watchers[wt] = s
+		held += len(s.order)
 	}
 
 	na := r.Len(12)
 	byAddr := make(map[int64]*addrWatchers, na)
+	listed := 0
 	for i := 0; i < na; i++ {
 		a := r.I64()
 		n := r.Len(8)
-		aw := &addrWatchers{set: make(map[Waiter]bool, n)}
+		if r.Err() != nil {
+			return r.Err()
+		}
+		if n == 0 {
+			return fmt.Errorf("monitor: empty waiter list for address 0x%x", a)
+		}
+		if byAddr[a] != nil {
+			return fmt.Errorf("monitor: address 0x%x listed twice", a)
+		}
+		aw := &addrWatchers{list: make([]*watcherState, 0, n)}
 		for j := 0; j < n; j++ {
 			wid := r.I64()
 			if r.Err() != nil {
@@ -157,21 +192,35 @@ func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error))
 			if err != nil {
 				return err
 			}
-			aw.add(wt)
+			s := watchers[wt]
+			if s == nil || !slices.Contains(s.order, a) {
+				return fmt.Errorf("monitor: address 0x%x lists waiter id %d, which does not watch it", a, wid)
+			}
+			if slices.Contains(aw.list, s) {
+				return fmt.Errorf("monitor: address 0x%x lists waiter id %d twice", a, wid)
+			}
+			aw.list = append(aw.list, s)
 		}
 		byAddr[a] = aw
+		listed += n
+	}
+	// Every listed pair is held and no pair is listed twice, so equal counts
+	// mean every held address is listed.
+	if listed != held {
+		return fmt.Errorf("monitor: %d watched addresses but %d address-list entries", held, listed)
 	}
 
-	wakeups, immediate, dropped := r.U64(), r.U64(), r.U64()
-	evicted, spurious, coalesced := r.U64(), r.U64(), r.U64()
+	var n Counters
+	n.Wakeups, n.Immediate, n.Dropped = r.U64(), r.U64(), r.U64()
+	n.Evicted, n.Spurious, n.Coalesced = r.U64(), r.U64(), r.U64()
 	if err := r.Err(); err != nil {
 		return err
 	}
 
 	e.watchers = watchers
 	e.byAddr = byAddr
+	e.last = nil
 	e.pending = nil
-	e.wakeups, e.immediate, e.dropped = wakeups, immediate, dropped
-	e.evicted, e.spurious, e.coalesced = evicted, spurious, coalesced
+	e.n = n
 	return nil
 }

@@ -261,7 +261,8 @@ func captureOutcome(s *progen.Spec, m *machine.Machine, c *core.Core) *outcome {
 	}
 	out.retired = c.Retired()
 	out.starts = c.Starts()
-	out.wakeups, out.immediat, _ = m.Monitor().Stats()
+	mc := m.Monitor().Counters()
+	out.wakeups, out.immediat = mc.Wakeups, mc.Immediate
 	return out
 }
 

@@ -79,6 +79,7 @@ echo "== fuzz smoke (10s per target) =="
 go test -run '^$' -fuzz '^FuzzAsmParse$' -fuzztime 10s ./internal/asm
 go test -run '^$' -fuzz '^FuzzTraceRoundTrip$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzSnapshotRoundTrip$' -fuzztime 10s ./internal/snapshot
+go test -run '^$' -fuzz '^FuzzMonitorOps$' -fuzztime 10s ./internal/monitor
 
 echo "== differential sweep (200 seeds) + restore equivalence =="
 NOCS_DIFF_N=200 go test -count=1 \
