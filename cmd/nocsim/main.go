@@ -12,7 +12,7 @@
 //	nocsim -all -parallel 8   # concurrent experiments, identical output
 //	nocsim -all -cpuprofile cpu.pb.gz   # profile the simulator itself
 //	nocsim -exp F1 -trace f1.json       # cycle trace, open at ui.perfetto.dev
-//	nocsim -scale             # S1: one 64-core machine across real CPUs
+//	nocsim -scale             # S1: the 64-core E1 ring across real CPUs
 //	nocsim -scale -cores 256 -workers 8 # bigger machine, explicit workers
 //	nocsim -locks             # L1: lock contention, nocs vs legacy parking
 //	nocsim -locks -quick      # CI-sized contention sweep
@@ -24,10 +24,10 @@
 //
 // Two parallelism axes, one rule (DESIGN.md §12): `-parallel` runs
 // independent experiments/sweep points concurrently (coarse, zero
-// cross-talk); `-workers`/`-shards`/`-lookahead` parallelize INSIDE one
-// machine via the sharded scheduler (S1 and any sharded machine). Both are
-// clamped to GOMAXPROCS, and neither changes a byte of output — worker
-// count is a wall-clock knob only.
+// cross-talk); `-workers`/`-shards` parallelize INSIDE one machine via the
+// sharded scheduler (S1, E1, SV1), whose cross-shard lookahead is fixed at
+// machine.DefaultLookahead. Both are clamped to GOMAXPROCS, and neither
+// changes a byte of output — worker count is a wall-clock knob only.
 package main
 
 import (
@@ -62,16 +62,20 @@ func main() {
 		locks      = flag.Bool("locks", false, "run L1, the lock-contention experiment: every internal/sync primitive×flavor cell swept across ptid counts, hold lengths, and SMT slots, plus a shard-determinism check")
 		serveFlag  = flag.Bool("serve", false, "run SV1, the datacenter serving sweep: multi-tier serving cells (LB → app pool → storage) across load × arrival × flavor, each cell byte-identical between the serial oracle and the sharded scheduler")
 		endurance  = flag.Bool("endurance", false, "run E1, the checkpointed endurance workload: a snapshot-complete token-ring machine whose full state can be serialized mid-run (-checkpoint-every) and warm-started later (-resume)")
-		horizon    = flag.Int64("horizon", 0, "simulated cycles for -endurance (default 400000, or 100000 with -quick)")
+		horizon    = flag.Int64("horizon", 0, "simulated cycles for -scale and -endurance (default 400000, or 100000 with -quick)")
 		ckptEvery  = flag.Int64("checkpoint-every", 0, "serialize a machine checkpoint every N simulated cycles during -endurance (0 disables)")
 		ckptFile   = flag.String("checkpoint", "nocs.ckpt", "checkpoint file -checkpoint-every overwrites (atomically) and -resume reads")
 		resume     = flag.String("resume", "", "warm-start -endurance from this checkpoint file instead of cold boot; the run continues to -horizon and must reproduce the straight-through hash")
-		cores      = flag.Int("cores", 0, "simulated core count for -scale (default 64, or 16 with -quick)")
-		workers    = flag.Int("workers", 0, "worker goroutines driving one sharded machine (-scale), clamped to GOMAXPROCS; 0 means GOMAXPROCS")
-		shards     = flag.Int("shards", 0, "event-queue shards for -scale (default one per simulated core)")
-		lookahead  = flag.Int64("lookahead", 0, "cross-shard synchronization horizon in cycles for -scale (default 400, the IPI cost)")
+		cores      = flag.Int("cores", 0, "simulated core count for -scale (default 64, or 16 with -quick) and -endurance (default 16, or 4 with -quick)")
+		workers    = flag.Int("workers", 0, "worker goroutines driving one sharded machine (-scale, -endurance, -serve), clamped to GOMAXPROCS; 0 means GOMAXPROCS")
+		shards     = flag.Int("shards", 0, "event-queue shards for -scale and -endurance (default one per simulated core; more than the core count is clamped to it)")
 	)
 	flag.Parse()
+
+	if *format != "table" && *format != "csv" {
+		fmt.Fprintf(os.Stderr, "unknown -format %q (want \"table\" or \"csv\")\n", *format)
+		os.Exit(2)
+	}
 
 	// More workers than usable CPUs is pure overhead for this CPU-bound
 	// simulator: the goroutines time-slice the same cores while the extra
@@ -92,8 +96,11 @@ func main() {
 		return
 	}
 
-	if *endurance {
+	if *scale || *endurance {
 		ec := bench.DefaultEnduranceConfig(*quick)
+		if *scale {
+			ec = bench.DefaultScaleConfig(*quick)
+		}
 		if *cores > 0 {
 			ec.Cores = *cores
 		}
@@ -106,10 +113,25 @@ func main() {
 		if *horizon > 0 {
 			ec.Horizon = sim.Cycles(*horizon)
 		}
+		// Same rule as -parallel: extra workers beyond real CPUs only add
+		// scheduling overhead to a CPU-bound simulator, so clamp.
 		if max := runtime.GOMAXPROCS(0); ec.Workers > max {
 			ec.Workers = max
 		}
 		cfg := bench.RunConfig{Seed: *seed, Quick: *quick}
+		if *scale {
+			res, stats, err := bench.RunScale(cfg, ec)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "scale: %v\n", err)
+				os.Exit(1)
+			}
+			fmt.Println(res)
+			fmt.Printf("S1 stats: cores=%d shards=%d workers=%d serial_ms=%.3f parallel_ms=%.3f speedup=%.4f instrs_per_sec=%.0f hash=%016x\n",
+				stats.Cores, stats.Shards, stats.Workers,
+				stats.SerialWallSec*1e3, stats.ParallelWallSec*1e3,
+				stats.Speedup, stats.InstrsPerSec, stats.Hash)
+			return
+		}
 		if *resume != "" {
 			data, err := os.ReadFile(*resume)
 			if err != nil {
@@ -190,38 +212,6 @@ func main() {
 				c.GoodputKRPS, c.LockWaits, c.SendBusy, c.RingStalls, c.PumpStalls,
 				c.DRAMStarts, c.Hash)
 		}
-		return
-	}
-
-	if *scale {
-		sc := bench.DefaultScaleConfig(*quick)
-		if *cores > 0 {
-			sc.Cores = *cores
-		}
-		if *shards > 0 {
-			sc.Shards = *shards
-		}
-		if *lookahead > 0 {
-			sc.Lookahead = sim.Cycles(*lookahead)
-		}
-		if *workers > 0 {
-			sc.Workers = *workers
-		}
-		// Same rule as -parallel: extra workers beyond real CPUs only add
-		// scheduling overhead to a CPU-bound simulator, so clamp.
-		if max := runtime.GOMAXPROCS(0); sc.Workers > max {
-			sc.Workers = max
-		}
-		res, stats, err := bench.RunScale(bench.RunConfig{Seed: *seed, Quick: *quick}, sc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scale: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(res)
-		fmt.Printf("S1 stats: cores=%d shards=%d workers=%d serial_ms=%.3f parallel_ms=%.3f speedup=%.4f instrs_per_sec=%.0f hash=%016x\n",
-			stats.Cores, stats.Shards, stats.Workers,
-			stats.SerialWallSec*1e3, stats.ParallelWallSec*1e3,
-			stats.Speedup, stats.InstrsPerSec, stats.Hash)
 		return
 	}
 

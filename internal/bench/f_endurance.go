@@ -13,12 +13,12 @@ import (
 	"nocs/internal/sim"
 )
 
-// E1 — the checkpointed endurance run (DESIGN.md §13). The same many-core
-// token-ring regime as S1, but built checkpoint-safe: every piece of dynamic
-// state the pacer natives touch lives in simulated memory words rather than
-// Go closure variables, so a machine.Snapshot taken at any cycle rebuilds the
-// run exactly. This is what `nocsim -endurance -checkpoint-every N` drives,
-// and what `-resume FILE` warm-starts.
+// E1 — the checkpointed endurance run (DESIGN.md §13). A many-core token
+// ring built checkpoint-safe: every piece of dynamic state the pacer natives
+// touch lives in simulated memory words rather than Go closure variables, so
+// a machine.Snapshot taken at any cycle rebuilds the run exactly. This is
+// what `nocsim -endurance -checkpoint-every N` drives, what `-resume FILE`
+// warm-starts, and the machine S1 runs serial and sharded.
 //
 // Like S1, E1 is not in the experiment registry: the golden `-all` output is
 // unchanged.
@@ -137,17 +137,23 @@ func BuildEndurance(cfg RunConfig, ec EnduranceConfig) (*machine.Machine, error)
 // EnduranceSummary renders the run's observable state: the clock, each
 // core's last-handled token, and its retired-instruction count. Byte
 // equality of two summaries is the restore-equivalence check the CLI's
-// resume path relies on.
+// resume path relies on, and S1's serial-vs-sharded check. The header
+// prints the machine's shard count, which machine.New clamps to the core
+// count, so a run and its resume agree however many shards were asked for.
 func EnduranceSummary(ec EnduranceConfig, m *machine.Machine) string {
 	ec.fill()
 	var b strings.Builder
 	fmt.Fprintf(&b, "cores=%d shards=%d horizon=%d now=%d\n",
-		ec.Cores, ec.Shards, ec.Horizon, m.Now())
+		ec.Cores, m.Shards(), ec.Horizon, m.Now())
 	for i := 0; i < ec.Cores; i++ {
-		seen := m.MemOf(m.ShardOfCore(i)).Read(enduranceMailboxBase + int64(i)*16 + 8)
-		fmt.Fprintf(&b, "core%03d seen=%d retired=%d\n", i, seen, m.Core(i).Retired())
+		fmt.Fprintf(&b, "core%03d seen=%d retired=%d\n", i, enduranceSeen(m, i), m.Core(i).Retired())
 	}
 	return b.String()
+}
+
+// enduranceSeen reads core i's seen word: the last token its pacer handled.
+func enduranceSeen(m *machine.Machine, i int) int64 {
+	return m.MemOf(m.ShardOfCore(i)).Read(enduranceMailboxBase + int64(i)*16 + 8)
 }
 
 // EnduranceStats is the machine-readable outcome of RunEndurance.
@@ -178,7 +184,7 @@ func RunEndurance(cfg RunConfig, ec EnduranceConfig, every sim.Cycles,
 		return "", nil, err
 	}
 	stats := &EnduranceStats{
-		Cores: ec.Cores, Shards: ec.Shards, Workers: ec.Workers,
+		Cores: ec.Cores, Shards: m.Shards(), Workers: ec.Workers,
 		Horizon: ec.Horizon, Resumed: cfg.FromSnapshot != nil,
 	}
 

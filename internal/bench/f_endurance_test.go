@@ -116,3 +116,40 @@ func TestFromSnapshotFork(t *testing.T) {
 		}
 	}
 }
+
+// TestEnduranceResumeWithFewerShards checkpoints a run that asked for more
+// shards than it has cores and resumes it with the shard count the machine
+// really had. Both runs end in the same state, so their summaries and
+// hashes must match: the summary reports the machine's shard count, not
+// the one requested.
+func TestEnduranceResumeWithFewerShards(t *testing.T) {
+	cfg := RunConfig{Seed: 1}
+	asked := EnduranceConfig{Cores: 4, Shards: 8, Workers: 1, Horizon: 60_000}
+	var last []byte
+	sum, stats, err := RunEndurance(cfg, asked, 20_000, func(_ sim.Cycles, data []byte) error {
+		last = append(last[:0], data...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Decode(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg := cfg
+	rcfg.FromSnapshot = snap
+	had := asked
+	had.Shards = 4
+	rsum, rstats, err := RunEndurance(rcfg, had, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rsum != sum || rstats.Hash != stats.Hash {
+		t.Fatalf("resume with the machine's real shard count diverged (hash %016x vs %016x):\n got %q\nwant %q",
+			rstats.Hash, stats.Hash, rsum, sum)
+	}
+	if stats.Shards != 4 {
+		t.Fatalf("stats report %d shards, want the machine's 4", stats.Shards)
+	}
+}

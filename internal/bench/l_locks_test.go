@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"nocs/internal/asm"
 	"nocs/internal/core"
@@ -112,25 +114,6 @@ func buildLockChain(shards, workers int) (*machine.Machine, []*lockRecorder, err
 	return m, recs, nil
 }
 
-func lockChainRun(t *testing.T, shards, workers int) string {
-	t.Helper()
-	m, recs, err := buildLockChain(shards, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.RunUntil(2_000_000)
-	if err := m.Fatal(); err != nil {
-		t.Fatal(err)
-	}
-	for i, rec := range recs {
-		if rec.acq.Count() != 16 {
-			t.Fatalf("shards=%d workers=%d: core %d recorded %d acquisitions, want 16 (gate relay lost?)",
-				shards, workers, i, rec.acq.Count())
-		}
-	}
-	return lockShardSummary(recs, m)
-}
-
 // TestLockShardedWakeDeterminism sweeps the gated contention chain over
 // shard counts 1, 2, 4 and worker counts 1, 2, 4: every configuration's
 // summary (per-core latency quantiles, completion cycles, retired counts,
@@ -138,18 +121,26 @@ func lockChainRun(t *testing.T, shards, workers int) string {
 // Under `go test -race` (scripts/ci.sh) this is also the data-race gate for
 // lock wakeups delivered across the worker pool.
 func TestLockShardedWakeDeterminism(t *testing.T) {
-	oracle := lockChainRun(t, 1, 1)
-	for _, shards := range []int{1, 2, 4} {
-		for _, workers := range []int{1, 2, 4} {
-			if workers > shards {
-				continue
-			}
-			got := lockChainRun(t, shards, workers)
-			if got != oracle {
-				t.Fatalf("shards=%d workers=%d: summary differs from serial oracle\noracle:\n%s\ngot:\n%s",
-					shards, workers, oracle, got)
+	run := func(shards, workers int) (string, time.Duration, error) {
+		m, recs, err := buildLockChain(shards, workers)
+		if err != nil {
+			return "", 0, err
+		}
+		m.RunUntil(2_000_000)
+		if err := m.Fatal(); err != nil {
+			return "", 0, err
+		}
+		for i, rec := range recs {
+			if rec.acq.Count() != 16 {
+				return "", 0, fmt.Errorf("core %d recorded %d acquisitions, want 16 (gate relay lost?)",
+					i, rec.acq.Count())
 			}
 		}
+		return lockShardSummary(recs, m), 0, nil
+	}
+	if _, _, _, err := verifySharded("L1 chain", run,
+		[2]int{1, 1}, [2]int{2, 1}, [2]int{2, 2}, [2]int{4, 1}, [2]int{4, 2}, [2]int{4, 4}); err != nil {
+		t.Fatal(err)
 	}
 }
 

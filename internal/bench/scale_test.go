@@ -1,51 +1,47 @@
 package bench
 
 import (
+	"errors"
 	"strings"
 	"testing"
-
-	"nocs/internal/sim"
+	"time"
 )
 
-// scaleRun builds and runs one S1 machine and returns its summary string.
-func scaleRun(t *testing.T, sc ScaleConfig, workers int) string {
-	t.Helper()
-	m, ring, err := buildScale(sc, workers)
-	if err != nil {
-		t.Fatal(err)
+// enduranceRun builds and runs one E1-ring machine with the given layout
+// and returns its summary; it fails if the token ring never advanced.
+func enduranceRun(ec EnduranceConfig) func(shards, workers int) (string, time.Duration, error) {
+	return func(shards, workers int) (string, time.Duration, error) {
+		ec.Shards, ec.Workers = shards, workers
+		m, err := BuildEndurance(RunConfig{}, ec)
+		if err != nil {
+			return "", 0, err
+		}
+		m.RunUntil(ec.Horizon)
+		if err := m.Fatal(); err != nil {
+			return "", 0, err
+		}
+		if enduranceSeen(m, 0) == 0 {
+			return "", 0, errors.New("token ring never advanced")
+		}
+		return EnduranceSummary(ec, m), 0, nil
 	}
-	m.RunUntil(sc.Horizon)
-	if err := m.Fatal(); err != nil {
-		t.Fatal(err)
-	}
-	var pings uint64
-	for _, p := range ring.pings {
-		pings += p
-	}
-	if pings == 0 {
-		t.Fatal("token ring never advanced")
-	}
-	return scaleSummary(sc, m, ring)
 }
 
 // TestScaleShardSweepDeterminism pins the acceptance criterion on the full
 // machine model: at shard counts 1, 2, 4, and 8 the ShardedScheduler's
-// summary (per-core wake counts and retired instructions) is byte-identical
+// summary (per-core last token and retired instructions) is byte-identical
 // to the SerialScheduler oracle at several worker counts.
 func TestScaleShardSweepDeterminism(t *testing.T) {
+	run := enduranceRun(EnduranceConfig{Cores: 8, Horizon: 60_000})
 	for _, shards := range []int{1, 2, 4, 8} {
-		sc := ScaleConfig{Cores: 8, Ptids: 1, Shards: shards, Horizon: 60_000}
-		sc.fill()
-		oracle := scaleRun(t, sc, 1)
+		layouts := [][2]int{{shards, 1}}
 		for _, workers := range []int{2, 4} {
-			if workers > shards {
-				continue
+			if workers <= shards {
+				layouts = append(layouts, [2]int{shards, workers})
 			}
-			got := scaleRun(t, sc, workers)
-			if got != oracle {
-				t.Fatalf("shards=%d workers=%d: summary differs from serial oracle\noracle:\n%s\ngot:\n%s",
-					shards, workers, oracle, got)
-			}
+		}
+		if _, _, _, err := verifySharded("S1", run, layouts...); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -55,23 +51,19 @@ func TestScaleShardSweepDeterminism(t *testing.T) {
 // boundaries continuously. Run under `go test -race` this is the data-race
 // gate for the sharded path (wired into scripts/ci.sh).
 func TestScaleContendedWakes(t *testing.T) {
-	sc := ScaleConfig{Cores: 8, Ptids: 1, Shards: 8, Workers: 4,
-		Lookahead: sim.Cycles(400), Horizon: 80_000}
-	sc.fill()
-	oracle := scaleRun(t, sc, 1)
-	got := scaleRun(t, sc, 4)
-	if got != oracle {
-		t.Fatalf("contended run diverged from oracle:\n%s\nvs\n%s", oracle, got)
+	run := enduranceRun(EnduranceConfig{Cores: 8, Horizon: 80_000})
+	if _, _, _, err := verifySharded("S1", run, [2]int{8, 1}, [2]int{8, 4}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestRunScaleExperiment exercises the full S1 entry point the CLI uses,
 // including its internal serial-vs-sharded byte-identity check.
 func TestRunScaleExperiment(t *testing.T) {
-	sc := DefaultScaleConfig(true)
-	sc.Cores = 8
-	sc.Workers = 2
-	res, stats, err := RunScale(RunConfig{Seed: 1, Quick: true}, sc)
+	ec := DefaultScaleConfig(true)
+	ec.Cores = 8
+	ec.Workers = 2
+	res, stats, err := RunScale(RunConfig{Seed: 1, Quick: true}, ec)
 	if err != nil {
 		t.Fatal(err)
 	}

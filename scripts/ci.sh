@@ -26,10 +26,12 @@
 #                        UncontendedLock allocs/op must stay within 10% of
 #                        scripts/alloc_baseline.txt (the zero-alloc hot
 #                        paths must not silently regrow heap traffic)
-#  10. sharded golden  — a small `nocsim -scale -quick` run; RunScale fails
-#                        internally unless the sharded scheduler's output is
+#  10. sharded golden  — a small `nocsim -scale -quick` run of the E1 token
+#                        ring; RunScale fails internally (verifySharded)
+#                        unless the sharded scheduler's output is
 #                        byte-identical to the serial oracle, so scheduler
-#                        regressions fail fast here
+#                        regressions fail fast here; plus the CLI's
+#                        rejection of an unknown -format (exit 2)
 #  11. lock sweep      — a CI-sized `nocsim -locks -quick` contention run
 #                        (RunLocks fails internally on any exclusion
 #                        violation, lost wakeup, or shard-determinism
@@ -119,6 +121,12 @@ awk '
 echo "== sharded golden: nocsim -scale -quick (serial vs sharded byte-identity) =="
 go build -o "$TMP/nocsim" ./cmd/nocsim
 "$TMP/nocsim" -scale -quick -shards 4 -workers 4 | grep '^S1 stats:'
+status=0
+"$TMP/nocsim" -exp T1 -format json > /dev/null 2>&1 || status=$?
+if [ "$status" != 2 ]; then
+    echo "FAIL: nocsim -format json exited $status, want 2 (unknown format)" >&2
+    exit 1
+fi
 
 echo "== lock sweep smoke: nocsim -locks -quick + lock-ordering differential sweep =="
 "$TMP/nocsim" -locks -quick | grep '^L1 shards:' | sed 's/^/   /'
